@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube
+.PHONY: all build test doccheck race sat-race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube
 
-all: build doccheck test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
+all: build doccheck test sat-race fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ doccheck:
 # wavefront cut enumerator (strata kernel + scratch pooling).
 race:
 	$(GO) test -race ./internal/par/... ./internal/sim/... ./internal/cuts/...
+
+# Race-detector pass over the SAT layer and every caller of the cone-scoped
+# query path: the solver, the encoder (scope computation + property tests),
+# the satsweep baseline and sched's class prover and PO backstop.
+sat-race:
+	$(GO) test -race ./internal/sat ./internal/cnf ./internal/satsweep ./internal/sched
 
 # Race-detector pass over the service layer: the job queue/scheduler, the
 # result cache and the HTTP daemon's end-to-end test.
@@ -89,6 +95,7 @@ bench-fault:
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepControl' -benchmem ./internal/satsweep/
 
 # Before/after comparison of the cut-enumeration kernels on every benchmark
 # family (strata kernel vs the retained per-level reference), written to

@@ -15,6 +15,14 @@ type Encoder struct {
 	g     *aig.AIG
 	s     *sat.Solver
 	varOf []int32 // node id -> SAT variable, -1 when not yet encoded
+	// fanin maps each SAT variable to the variables its defining clauses
+	// mention: an AND node's fanins, an XOR assumption's operands, none
+	// (-1) for PIs and the constant.
+	fanin [][2]int32
+	mark  []uint32 // per SAT variable: == stamp when in the current scope
+	stamp uint32
+	scope []int
+	stack []int32
 }
 
 // NewEncoder creates an encoder of g into s.
@@ -24,6 +32,19 @@ func NewEncoder(g *aig.AIG, s *sat.Solver) *Encoder {
 		varOf[i] = -1
 	}
 	return &Encoder{g: g, s: s, varOf: varOf}
+}
+
+// newVar creates a solver variable defined over the variables f0 and f1
+// (-1 for none). The encoder owns every variable of its solver: one
+// created by anyone else would have no definition to scope by, so it
+// panics instead of computing a wrong scope.
+func (e *Encoder) newVar(f0, f1 int32) int32 {
+	v := int32(e.s.NewVar())
+	if int(v) != len(e.fanin) {
+		panic("cnf: solver has variables the encoder did not create")
+	}
+	e.fanin = append(e.fanin, [2]int32{f0, f1})
+	return v
 }
 
 // Solver returns the underlying solver.
@@ -55,7 +76,7 @@ func (e *Encoder) encode(root int) int32 {
 		if !e.g.IsAnd(id) {
 			// PI or constant: a fresh variable; the constant is
 			// pinned to false.
-			v := int32(e.s.NewVar())
+			v := e.newVar(-1, -1)
 			e.varOf[id] = v
 			if id == 0 {
 				e.s.AddClause(sat.MkLit(int(v), true))
@@ -74,7 +95,7 @@ func (e *Encoder) encode(root int) int32 {
 			}
 			continue
 		}
-		v := int32(e.s.NewVar())
+		v := e.newVar(v0, v1)
 		e.varOf[id] = v
 		a := sat.MkLit(int(v0), f0.IsCompl())
 		b := sat.MkLit(int(v1), f1.IsCompl())
@@ -95,13 +116,58 @@ func (e *Encoder) encode(root int) int32 {
 func (e *Encoder) XorAssumption(a, b aig.Lit) sat.Lit {
 	la := e.LitOf(a)
 	lb := e.LitOf(b)
-	t := sat.MkLit(e.s.NewVar(), false)
+	t := sat.MkLit(int(e.newVar(int32(la.Var()), int32(lb.Var()))), false)
 	// t ↔ (la ⊕ lb)
 	e.s.AddClause(t.Neg(), la, lb)
 	e.s.AddClause(t.Neg(), la.Neg(), lb.Neg())
 	e.s.AddClause(t, la.Neg(), lb)
 	e.s.AddClause(t, la, lb.Neg())
 	return t
+}
+
+// Solve decides the query posed by assumptions, each a literal returned by
+// LitOf or XorAssumption of this encoder, deciding only inside the
+// fanin cone of the assumptions (sat.Solver.SolveScoped). The scope is
+// computed here, by a DFS over the encoded definitions, so it is always
+// fanin-closed: every Tseitin AND clause and XOR-assumption clause
+// mentions the variables of one such cone, and a conflict-free assignment
+// of the cone is the cone evaluated on its own PIs. Every other clause,
+// learnt ones included, is then satisfied by evaluating the rest of the
+// AIG on any PI values, so a Sat answer is a real model of the cone.
+//
+// The contract holds only while every clause of the solver comes from
+// this encoder (or is learnt from them); a caller adding clauses of its
+// own must use the solver's full Solve. Assumptions must be literals of
+// this encoder.
+//
+// After Sat, Model is meaningful for the nodes in the cone of the
+// assumptions; other encoded nodes may read as unassigned (false).
+func (e *Encoder) Solve(assumptions ...sat.Lit) sat.Status {
+	e.stamp++
+	if e.stamp == 0 {
+		clear(e.mark)
+		e.stamp = 1
+	}
+	for len(e.mark) < len(e.fanin) {
+		e.mark = append(e.mark, 0)
+	}
+	e.scope = e.scope[:0]
+	stack := e.stack[:0]
+	for _, a := range assumptions {
+		stack = append(stack, int32(a.Var()))
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v < 0 || e.mark[v] == e.stamp {
+			continue
+		}
+		e.mark[v] = e.stamp
+		e.scope = append(e.scope, int(v))
+		stack = append(stack, e.fanin[v][0], e.fanin[v][1])
+	}
+	e.stack = stack
+	return e.s.SolveScoped(e.scope, assumptions...)
 }
 
 // Model reads the value of AIG node id from the model after a Sat answer;

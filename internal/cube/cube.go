@@ -277,7 +277,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	for i := 0; i < m.NumPOs(); i++ {
 		if m.PO(i) == aig.True {
 			cex := make([]bool, m.NumPIs())
-			if replayDistinguishes(m, cex) {
+			if miter.Fires(m, cex) {
 				res.Outcome = NotEquivalent
 				res.CEX = cex
 			}
@@ -295,7 +295,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 	if po, assign := partial.FindNonZeroPO(m, sims); po >= 0 {
 		cex := assignToInputs(m, assign)
-		if replayDistinguishes(m, cex) {
+		if miter.Fires(m, cex) {
 			res.Outcome = NotEquivalent
 			res.CEX = cex
 			return res
@@ -498,7 +498,7 @@ func solveCube(m *aig.AIG, t cubeTask, budget int64, piIndex map[int]int, st *ru
 		// default to false) yields the full assignment — which must still
 		// survive replay through aig.Eval before anyone sees it.
 		cex := assignToInputs(m, modelPattern(m, enc, piIndex))
-		if !replayDistinguishes(m, cex) {
+		if !miter.Fires(m, cex) {
 			st.addFault("cube.witness.invalid: model failed aig.Eval replay")
 			return cubeFaulted
 		}
@@ -510,17 +510,6 @@ func solveCube(m *aig.AIG, t cubeTask, budget int64, piIndex map[int]int, st *ru
 		}
 		return cubeTimeout
 	}
-}
-
-// replayDistinguishes replays a candidate counter-example through the
-// miter and reports whether it drives any output to 1.
-func replayDistinguishes(m *aig.AIG, cex []bool) bool {
-	for _, v := range m.Eval(cex) {
-		if v {
-			return true
-		}
-	}
-	return false
 }
 
 // piIndexOf maps PI node ids to PI positions.

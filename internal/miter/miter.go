@@ -193,6 +193,17 @@ func IsProved(g *aig.AIG) bool {
 	return true
 }
 
+// Fires reports whether the input assignment cex drives some output of
+// the miter g to 1, i.e. whether cex is a genuine counter-example.
+func Fires(g *aig.AIG, cex []bool) bool {
+	for _, v := range g.Eval(cex) {
+		if v {
+			return true
+		}
+	}
+	return false
+}
+
 // IsDisprovedStructurally reports whether some miter output is the
 // constant-one literal.
 func IsDisprovedStructurally(g *aig.AIG) bool {

@@ -202,6 +202,19 @@ func TestCleanDropsDanglingKeepsPIs(t *testing.T) {
 	}
 }
 
+func TestFires(t *testing.T) {
+	g := aig.New()
+	a := g.AddPI()
+	g.AddPO(aig.False)
+	g.AddPO(a)
+	if Fires(g, []bool{false}) {
+		t.Fatal("input 0 fires a miter whose outputs are 0 and a")
+	}
+	if !Fires(g, []bool{true}) {
+		t.Fatal("input 1 does not fire output a")
+	}
+}
+
 func TestIsProvedAndDisproved(t *testing.T) {
 	g := aig.New()
 	a := g.AddPI()

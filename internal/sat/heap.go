@@ -52,7 +52,7 @@ func (h *varHeap) down(i int) {
 	}
 }
 
-// push inserts a new variable (its index must equal len(indices)).
+// push inserts v unless it is already in the heap.
 func (h *varHeap) push(v int) {
 	for len(h.indices) <= v {
 		h.indices = append(h.indices, -1)
@@ -65,8 +65,23 @@ func (h *varHeap) push(v int) {
 	h.up(h.indices[v])
 }
 
-// pushIfAbsent re-inserts a variable after unassignment.
-func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
+// build replaces the heap's contents with vars (distinct) in O(len(vars)).
+func (h *varHeap) build(vars []int) {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
+	h.heap = h.heap[:0]
+	for _, v := range vars {
+		for len(h.indices) <= v {
+			h.indices = append(h.indices, -1)
+		}
+		h.indices[v] = len(h.heap)
+		h.heap = append(h.heap, v)
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
 // pop removes and returns the highest-activity variable.
 func (h *varHeap) pop() (int, bool) {

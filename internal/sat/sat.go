@@ -5,7 +5,10 @@
 // (the -C knob of ABC's &cec that the sweeping baseline relies on).
 package sat
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Lit is a literal: variable index shifted left once, with the low bit set
 // for negation. Variables are numbered from 0.
@@ -86,14 +89,23 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 
-	order *varHeap
+	// order is the VSIDS decision heap of the running call, rebuilt from
+	// the call's scope; between calls no variable is in scope, so
+	// backtracking outside a call leaves it alone.
+	order      *varHeap
+	scopeMark  []uint32 // scopeMark[v] == scopeStamp: v is in the current scope
+	scopeStamp uint32
+	allVars    []int // Solve's scope buffer: every variable
 
 	trail    []Lit
 	trailLim []int
 	qhead    int
 
 	seen     []bool
-	ok       bool // false once a top-level conflict is derived
+	learnt   []Lit // analyze's learnt-clause buffer
+	toClear  []Lit // analyze's seen-flag clear list
+	addBuf   []Lit // AddClause's normalisation buffer
+	ok       bool  // false once a top-level conflict is derived
 	claInc   float64
 	maxLrnts int
 
@@ -104,7 +116,7 @@ type Solver struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{ok: true, varInc: 1, claInc: 1, maxLrnts: 4096}
+	s := &Solver{ok: true, varInc: 1, claInc: 1, maxLrnts: 4096, scopeStamp: 1}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
@@ -135,8 +147,8 @@ func (s *Solver) NewVar() int {
 	s.polarity = append(s.polarity, true) // default to negative phase
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
+	s.scopeMark = append(s.scopeMark, 0)
 	s.watches = append(s.watches, nil, nil)
-	s.order.push(v)
 	return v
 }
 
@@ -160,9 +172,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	s.backtrackTo(0)
-	// Sort, dedupe, drop false literals, detect tautologies.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Sort, dedupe, drop false literals, detect tautologies, in a reused
+	// buffer.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -269,9 +283,10 @@ func (s *Solver) propagate() *clause {
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a solver-owned buffer, valid until the next analyze.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -313,7 +328,8 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	// Cheap minimisation: drop literals implied by their own reason
 	// clause within the learnt clause. Keep the pre-minimisation list so
 	// every seen flag is cleared afterwards.
-	full := append([]Lit(nil), learnt...)
+	s.toClear = append(s.toClear[:0], learnt...)
+	s.learnt = learnt
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
 		if !s.redundant(l) {
@@ -333,7 +349,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = int(s.level[learnt[1].Var()])
 	}
-	for _, l := range full {
+	for _, l := range s.toClear {
 		s.seen[l.Var()] = false
 	}
 	return learnt, btLevel
@@ -392,7 +408,9 @@ func (s *Solver) backtrackTo(level int) {
 		s.polarity[v] = s.assigns[v] == lFalse
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
-		s.order.pushIfAbsent(v)
+		if s.scopeMark[v] == s.scopeStamp {
+			s.order.push(v)
+		}
 	}
 	s.trail = s.trail[:lim]
 	s.trailLim = s.trailLim[:level]
@@ -416,21 +434,22 @@ func (s *Solver) pickBranchVar() int {
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].activity > s.learnts[j].activity })
 	keep := s.learnts[:0]
-	locked := make(map[*clause]bool)
-	for _, r := range s.reason {
-		if r != nil {
-			locked[r] = true
-		}
-	}
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if i < limit || locked[c] || len(c.lits) == 2 {
+		if i < limit || s.locked(c) || len(c.lits) == 2 {
 			keep = append(keep, c)
 		} else {
 			s.detach(c)
 		}
 	}
 	s.learnts = keep
+}
+
+// locked reports whether c is the reason of a current assignment. A clause
+// only becomes a reason by implying its lits[0], and propagation never
+// moves a true lits[0], so MiniSat's check suffices.
+func (s *Solver) locked(c *clause) bool {
+	return s.reason[c.lits[0].Var()] == c && s.litValue(c.lits[0]) == lTrue
 }
 
 func (s *Solver) detach(c *clause) {
@@ -460,12 +479,55 @@ func luby(i int64) int64 {
 
 // Solve decides satisfiability under the given assumptions. It returns
 // Unknown when the conflict budget set by SetConflictLimit is exhausted.
-// After Sat, Value reads the model.
+// After Sat, Value reads the model of every variable. It is SolveScoped
+// over every variable, which needs no contract.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	s.allVars = s.allVars[:0]
+	for v := range s.assigns {
+		s.allVars = append(s.allVars, v)
+	}
+	return s.SolveScoped(s.allVars, assumptions...)
+}
+
+// SolveScoped is Solve with decisions restricted to the distinct
+// variables in scope (the assumptions are always decided): it answers Sat
+// as soon as every scope variable is assigned without a conflict, leaving
+// the variables outside the scope partly or wholly unassigned. After Sat,
+// Value reads the model only for scope variables.
+//
+// A Sat answer is sound only under a contract the caller must keep: any
+// assignment of the scope that satisfies every clause over scope
+// variables alone extends to a model of the whole formula. A Tseitin
+// encoding keeps it when the scope is fanin-closed, since each clause
+// defines one variable over its fanins and the variables outside the
+// scope can be evaluated from the scope; the cnf encoder's Solve computes
+// such scopes and is the intended caller. Unsat and Unknown answers need
+// no contract.
+//
+// The call orders decisions by the shared VSIDS activity, so what one
+// query learns steers the next.
+func (s *Solver) SolveScoped(scope []int, assumptions ...Lit) Status {
+	s.backtrackTo(0)
+	for _, v := range scope {
+		s.scopeMark[v] = s.scopeStamp
+	}
+	s.order.build(scope)
+	st := s.search(assumptions)
+	// Take every variable out of scope until the next call.
+	s.scopeStamp++
+	if s.scopeStamp == 0 {
+		clear(s.scopeMark)
+		s.scopeStamp = 1
+	}
+	return st
+}
+
+// search is the CDCL loop of SolveScoped; s.order holds the decision
+// heap of the call's scope.
+func (s *Solver) search(assumptions []Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
-	s.backtrackTo(0)
 	if c := s.propagate(); c != nil {
 		s.ok = false
 		return Unsat
@@ -549,7 +611,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if next < 0 {
 			v := s.pickBranchVar()
 			if v < 0 {
-				return Sat // all variables assigned
+				return Sat // every decision variable assigned
 			}
 			s.stats.Decisions++
 			next = MkLit(v, s.polarity[v])

@@ -375,3 +375,136 @@ func TestManyVarsStressSat(t *testing.T) {
 		}
 	}
 }
+
+// TestScopedAndFullSolveAgainstBruteForce alternates SolveScoped (scope:
+// every variable, where no contract is needed) and Solve on one solver:
+// both must match enumeration and return models of every clause.
+func TestScopedAndFullSolveAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		numVars := 4 + rng.Intn(5)
+		clauses := make([][]Lit, 4+rng.Intn(24))
+		for i := range clauses {
+			cl := make([]Lit, 1+rng.Intn(3))
+			for j := range cl {
+				cl[j] = MkLit(rng.Intn(numVars), rng.Intn(2) == 1)
+			}
+			clauses[i] = cl
+		}
+		s := New()
+		scope := make([]int, numVars)
+		for v := range scope {
+			scope[v] = s.NewVar()
+		}
+		okAdd := true
+		for _, cl := range clauses {
+			okAdd = okAdd && s.AddClause(cl...)
+		}
+		for call := 0; call < 4; call++ {
+			a := MkLit(rng.Intn(numVars), rng.Intn(2) == 1)
+			want := bruteForce(numVars, append(append([][]Lit{}, clauses...), []Lit{a}))
+			got := Unsat
+			if okAdd {
+				if call%2 == 0 {
+					got = s.SolveScoped(scope, a)
+				} else {
+					got = s.Solve(a)
+				}
+			}
+			if (got == Sat) != want {
+				t.Fatalf("trial %d call %d: solver=%v brute=%v", trial, call, got, want)
+			}
+			if got != Sat {
+				continue
+			}
+			for _, cl := range clauses {
+				sat := false
+				for _, l := range cl {
+					sat = sat || s.Value(l.Var()) != l.Sign()
+				}
+				if !sat {
+					t.Fatalf("trial %d call %d: model falsifies %v", trial, call, cl)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveScopedDecidesOnlyInScope builds random AND circuits in
+// Tseitin form, several pair queries per solver, and checks that every
+// decision on the final trail of a scoped Sat answer is a scope variable
+// (the assumption aside), that the scope's assignment is consistent with
+// its gates, and that the pair differs.
+func TestSolveScopedDecidesOnlyInScope(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sats := 0
+	for trial := 0; trial < 60; trial++ {
+		s := New()
+		const numPIs, numGates = 10, 120
+		fanin := make([][2]Lit, numPIs+numGates)
+		for v := 0; v < numPIs; v++ {
+			s.NewVar()
+			fanin[v] = [2]Lit{-1, -1}
+		}
+		for v := numPIs; v < numPIs+numGates; v++ {
+			s.NewVar()
+			lo := v - 1 - rng.Intn(min(v, 12))
+			a := MkLit(lo, rng.Intn(2) == 1)
+			b := MkLit(rng.Intn(v), rng.Intn(2) == 1)
+			fanin[v] = [2]Lit{a, b}
+			c := MkLit(v, false)
+			s.AddClause(c.Neg(), a)
+			s.AddClause(c.Neg(), b)
+			s.AddClause(c, a.Neg(), b.Neg())
+		}
+		for q := 0; q < 8; q++ {
+			x := MkLit(numPIs+rng.Intn(numGates), false)
+			y := MkLit(numPIs+rng.Intn(numGates), rng.Intn(2) == 1)
+			tv := s.NewVar()
+			tl := MkLit(tv, false)
+			s.AddClause(tl.Neg(), x, y)
+			s.AddClause(tl.Neg(), x.Neg(), y.Neg())
+			s.AddClause(tl, x.Neg(), y)
+			s.AddClause(tl, x, y.Neg())
+			in := map[int]bool{tv: true}
+			scope := []int{tv}
+			stack := []int{x.Var(), y.Var()}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if in[v] {
+					continue
+				}
+				in[v] = true
+				scope = append(scope, v)
+				if fanin[v][0] >= 0 {
+					stack = append(stack, fanin[v][0].Var(), fanin[v][1].Var())
+				}
+			}
+			if s.SolveScoped(scope, tl) != Sat {
+				continue
+			}
+			sats++
+			for k := 1; k < len(s.trailLim); k++ {
+				if d := s.trail[s.trailLim[k]].Var(); !in[d] {
+					t.Fatalf("trial %d query %d: decided on variable %d outside the scope", trial, q, d)
+				}
+			}
+			val := func(l Lit) bool { return s.litValue(l) == lTrue }
+			for _, v := range scope {
+				if s.assigns[v] == lUndef {
+					t.Fatalf("trial %d query %d: scope variable %d unassigned", trial, q, v)
+				}
+				if v < numPIs+numGates && fanin[v][0] >= 0 && val(MkLit(v, false)) != (val(fanin[v][0]) && val(fanin[v][1])) {
+					t.Fatalf("trial %d query %d: gate %d inconsistent", trial, q, v)
+				}
+			}
+			if val(x) == val(y) {
+				t.Fatalf("trial %d query %d: pair not distinguished", trial, q)
+			}
+		}
+	}
+	if sats == 0 {
+		t.Fatal("no query was satisfiable; the test checks nothing")
+	}
+}

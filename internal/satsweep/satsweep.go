@@ -207,7 +207,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	// Final PO decision on whatever remains, with the same budget.
-	return finishPOs(cur, opt, res)
+	return finishPOs(m, cur, opt, res)
 }
 
 // sweepRound SAT-checks every candidate pair once. It returns the proved
@@ -243,7 +243,7 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 		b := aig.MakeLit(int(pair.Member), pair.Compl)
 		assume := enc.XorAssumption(a, b)
 		stats.SATCalls++
-		switch tracedSolve(tb, "sat.pair", solver, assume) {
+		switch tracedSolve(tb, "sat.pair", enc, assume) {
 		case sat.Unsat:
 			stats.Proved++
 			progressed = true
@@ -263,8 +263,9 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 	return merges, progressed
 }
 
-// finishPOs proves or refutes each remaining non-constant PO by SAT.
-func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
+// finishPOs proves or refutes each remaining non-constant PO of cur, the
+// reduced form of the miter m the sweep was handed, by SAT.
+func finishPOs(m, cur *aig.AIG, opt Options, res Result) Result {
 	solver := sat.New()
 	solver.SetConflictLimit(opt.ConflictLimit)
 	solver.SetStop(opt.stopped)
@@ -302,7 +303,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 		// firing opportunity on miters whose classes yield no pairs.
 		opt.Faults.Panic(fault.HookSATOOM)
 		res.Stats.SATCalls++
-		switch tracedSolve(tb, "sat.po", solver, enc.LitOf(po)) {
+		switch tracedSolve(tb, "sat.po", enc, enc.LitOf(po)) {
 		case sat.Unsat:
 			res.Stats.Proved++
 			// PO is constant zero: node(po) == compl flag.
@@ -313,10 +314,8 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 			merged[po] = true
 		case sat.Sat:
 			res.Stats.Disproved++
-			res.Outcome = NotEquivalent
-			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
 			res.Reduced = cur
-			return res
+			return refute(m, modelPattern(cur, enc, piIndex), res)
 		default:
 			res.Stats.Unknown++
 			undecided = true
@@ -346,15 +345,32 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 	return res
 }
 
-// tracedSolve runs one SAT call, emitting a trace span (category "sat")
-// with the verdict and the conflicts the call consumed when tb is non-nil.
-func tracedSolve(tb *trace.Buf, name string, solver *sat.Solver, assumptions ...sat.Lit) sat.Status {
-	if tb == nil {
-		return solver.Solve(assumptions...)
+// refute turns a SAT model of a PO query into a NotEquivalent verdict,
+// but only once its counter-example, replayed with aig.Eval, sets an
+// output of the miter m: a scoped query's model is partial, and a bad one
+// must cost the verdict (Undecided plus a satsweep.cex.replay fault), not
+// flip it.
+func refute(m *aig.AIG, model []sim.PIValue, res Result) Result {
+	if cex := assignToInputs(m, model); miter.Fires(m, cex) {
+		res.Outcome = NotEquivalent
+		res.CEX = cex
+		return res
 	}
+	res.Faults = append(res.Faults, "satsweep.cex.replay: SAT model sets no miter output")
+	return res
+}
+
+// tracedSolve runs one scoped SAT call on enc, emitting a trace span
+// (category "sat") with the verdict and the conflicts the call consumed
+// when tb is non-nil.
+func tracedSolve(tb *trace.Buf, name string, enc *cnf.Encoder, assumptions ...sat.Lit) sat.Status {
+	if tb == nil {
+		return enc.Solve(assumptions...)
+	}
+	solver := enc.Solver()
 	before := solver.Stats().Conflicts
 	sp := tb.Begin(trace.CatSAT, name)
-	st := solver.Solve(assumptions...)
+	st := enc.Solve(assumptions...)
 	sp.Arg("conflicts", solver.Stats().Conflicts-before)
 	sp.Arg("status", int64(st))
 	sp.End()

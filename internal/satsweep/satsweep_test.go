@@ -2,12 +2,16 @@ package satsweep
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"simsweep/internal/aig"
 	"simsweep/internal/gen"
 	"simsweep/internal/miter"
+	"simsweep/internal/opt"
+	"simsweep/internal/par"
+	"simsweep/internal/sim"
 )
 
 // adder builds an n-bit ripple-carry adder; variant changes the carry
@@ -336,4 +340,56 @@ func fires(m *aig.AIG, cex []bool) bool {
 		}
 	}
 	return false
+}
+
+// TestRefuteReplaysModel feeds finishPOs' Sat path a genuine and a forged
+// model of an AND-vs-OR miter: the genuine one refutes, the forged one
+// (an input on which both sides agree) is withdrawn to Undecided with a
+// satsweep.cex.replay fault instead of being reported.
+func TestRefuteReplaysModel(t *testing.T) {
+	g1 := aig.New()
+	g1.AddPO(g1.And(g1.AddPI(), g1.AddPI()))
+	g2 := aig.New()
+	g2.AddPO(g2.Or(g2.AddPI(), g2.AddPI()))
+	m, err := miter.Build(g1, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := refute(m, []sim.PIValue{{Index: 0, Value: true}}, Result{})
+	if genuine.Outcome != NotEquivalent || !fires(m, genuine.CEX) || len(genuine.Faults) != 0 {
+		t.Fatalf("genuine model: %+v", genuine)
+	}
+	forged := refute(m, []sim.PIValue{{Index: 0, Value: true}, {Index: 1, Value: true}}, Result{})
+	if forged.Outcome != Undecided || forged.CEX != nil {
+		t.Fatalf("forged model reported: %+v", forged)
+	}
+	if len(forged.Faults) != 1 || !strings.HasPrefix(forged.Faults[0], "satsweep.cex.replay") {
+		t.Fatalf("forged model faults = %q", forged.Faults)
+	}
+}
+
+// BenchmarkSweepControl runs the sweep on a small VGA-style control
+// miter (original vs resyn2), the shape whose SAT stage dominates the
+// control families, so the SAT layer can be profiled on its own:
+//
+//	go test -bench SweepControl -benchmem -cpuprofile cpu.out ./internal/satsweep
+func BenchmarkSweepControl(b *testing.B) {
+	g, err := gen.Control(gen.StyleVGA, 5, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := par.NewDevice(1)
+	defer dev.Close()
+	m, err := miter.Build(g, opt.Resyn2(g, dev))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := CheckMiter(m, Options{Dev: dev, Seed: 1})
+		if res.Outcome != Equivalent {
+			b.Fatalf("outcome = %v", res.Outcome)
+		}
+	}
 }

@@ -296,7 +296,7 @@ func (sc *sweeper) satUnit(cur *aig.AIG, u *classUnit, solver *sat.Solver, enc *
 		assume := enc.XorAssumption(aig.MakeLit(int(p.Repr), false), aig.MakeLit(int(p.Member), p.Compl))
 		a.satCalls++
 		before := solver.Stats().Conflicts
-		status := solver.Solve(assume)
+		status := enc.Solve(assume)
 		a.conflicts += solver.Stats().Conflicts - before
 		switch status {
 		case sat.Unsat:

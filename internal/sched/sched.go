@@ -354,7 +354,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		}
 	}
 
-	return sc.finishPOs(cur)
+	return sc.finishPOs(m, cur)
 }
 
 // scheduleRound builds the round's class units, dispatches them in waves
@@ -702,11 +702,12 @@ func (sc *sweeper) rankEngines(f Features) []string {
 	return out
 }
 
-// finishPOs proves or refutes each remaining non-constant PO by SAT with
-// the final (by default unlimited) conflict budget, exactly as the
-// satsweep baseline does — the completeness backstop for classes no rung
-// could decide.
-func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
+// finishPOs proves or refutes each remaining non-constant PO of cur, the
+// reduced form of the miter m the sweep was handed, by SAT with the final
+// (by default unlimited) conflict budget, exactly as the satsweep
+// baseline does — the completeness backstop for classes no rung could
+// decide.
+func (sc *sweeper) finishPOs(m, cur *aig.AIG) Result {
 	opt := sc.opt
 	res := *sc.res
 	solver := sat.New()
@@ -747,7 +748,7 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 		res.Stats.SATCalls++
 		before := solver.Stats().Conflicts
 		solveStart := time.Now()
-		status := solver.Solve(enc.LitOf(po))
+		status := enc.Solve(enc.LitOf(po))
 		// The pass's per-PO cost feeds the family prior under the backstop
 		// pseudo-engine: the router needs to know whether deferring classes
 		// here is cheap before it may do so.
@@ -768,10 +769,8 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 			})
 			merged[po] = true
 		case sat.Sat:
-			res.Outcome = NotEquivalent
-			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
 			res.Reduced = cur
-			return res
+			return refute(m, modelPattern(cur, enc, piIndex), res)
 		default:
 			undecided = true
 		}
@@ -794,6 +793,21 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 	if undecided && opt.stopped() {
 		res.Stopped = true
 	}
+	return res
+}
+
+// refute turns a SAT model of a PO query into a NotEquivalent verdict,
+// but only once its counter-example, replayed with aig.Eval, sets an
+// output of the miter m: a scoped query's model is partial, and a bad one
+// must cost the verdict (Undecided plus a sched.cex.replay fault), not
+// flip it.
+func refute(m *aig.AIG, model []sim.PIValue, res Result) Result {
+	if cex := assignToInputs(m, model); miter.Fires(m, cex) {
+		res.Outcome = NotEquivalent
+		res.CEX = cex
+		return res
+	}
+	res.Faults = append(res.Faults, "sched.cex.replay: SAT model sets no miter output")
 	return res
 }
 

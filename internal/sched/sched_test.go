@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simsweep/internal/aig"
 	"simsweep/internal/fault"
 	"simsweep/internal/gen"
 	"simsweep/internal/miter"
+	"simsweep/internal/sim"
 )
 
 // adder builds an n-bit ripple-carry adder; variant changes the carry
@@ -285,5 +287,31 @@ func TestStoreEvictsAtCap(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Fatalf("store holds %d families, want cap 2", s.Len())
+	}
+}
+
+// TestRefuteReplaysModel feeds finishPOs' Sat path a genuine and a forged
+// model of an AND-vs-OR miter: the genuine one refutes, the forged one
+// (an input on which both sides agree) is withdrawn to Undecided with a
+// sched.cex.replay fault instead of being reported.
+func TestRefuteReplaysModel(t *testing.T) {
+	g1 := aig.New()
+	g1.AddPO(g1.And(g1.AddPI(), g1.AddPI()))
+	g2 := aig.New()
+	g2.AddPO(g2.Or(g2.AddPI(), g2.AddPI()))
+	m, err := miter.Build(g1, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := refute(m, []sim.PIValue{{Index: 0, Value: true}}, Result{})
+	if genuine.Outcome != NotEquivalent || !m.Eval(genuine.CEX)[0] || len(genuine.Faults) != 0 {
+		t.Fatalf("genuine model: %+v", genuine)
+	}
+	forged := refute(m, []sim.PIValue{{Index: 0, Value: true}, {Index: 1, Value: true}}, Result{})
+	if forged.Outcome != Undecided || forged.CEX != nil {
+		t.Fatalf("forged model reported: %+v", forged)
+	}
+	if len(forged.Faults) != 1 || !strings.HasPrefix(forged.Faults[0], "sched.cex.replay") {
+		t.Fatalf("forged model faults = %q", forged.Faults)
 	}
 }
