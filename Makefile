@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test doccheck race sat-race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube
 
-all: build doccheck test sat-race fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
+all: build doccheck test race sat-race fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
 
 build:
 	$(GO) build ./...
@@ -15,10 +15,13 @@ doccheck:
 	$(GO) run ./cmd/doccheck .
 
 # Race-detector pass over the concurrency-heavy packages: the persistent
-# worker pool, the window-parallel exhaustive simulator built on it and the
-# wavefront cut enumerator (strata kernel + scratch pooling).
+# worker pool, the window-parallel exhaustive simulator built on it, the
+# per-worker window builders and the wavefront cut enumerator (strata
+# kernel + scratch pooling); then the engine's window and chaos tests, which
+# drive those kernels through checkChunked with injected worker panics.
 race:
 	$(GO) test -race ./internal/par/... ./internal/sim/... ./internal/cuts/...
+	$(GO) test -race -run 'Window|TestPhase|TestWorkBudget|TestGenerousBudgets|TestStallInjection|Panic' ./internal/core/
 
 # Race-detector pass over the SAT layer and every caller of the cone-scoped
 # query path: the solver, the encoder (scope computation + property tests),
@@ -93,7 +96,7 @@ bench-fault:
 	$(GO) run ./cmd/benchtab -fault
 
 bench:
-	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
+	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkBuildWindows|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepControl' -benchmem ./internal/satsweep/
 

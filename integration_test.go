@@ -7,6 +7,7 @@ package simsweep
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -233,6 +234,53 @@ func TestIntegrationEquivalentButDissimilarImplementations(t *testing.T) {
 		}
 		if res.Outcome != Equivalent {
 			t.Fatalf("%s: ripple vs carry-select = %v", engine, res.Outcome)
+		}
+	}
+}
+
+// TestIntegrationDeterministicControlSweep pins run-to-run determinism of
+// the whole hybrid flow on a control fabric, where simulation leaves many
+// candidate classes open: one seed must give one merge journal, one
+// reduction and one SAT call count. The class order was once taken from a
+// Go map, which made the candidate order, and with it all three, vary
+// between runs.
+func TestIntegrationDeterministicControlSweep(t *testing.T) {
+	g, err := Generate("vga_lcd", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Optimize(g)
+	type run struct {
+		journal  []ProvedPair
+		reduced  float64
+		satCalls int
+	}
+	var first run
+	for i := 0; i < 3; i++ {
+		tr := NewTracer(1 << 16)
+		res, err := CheckEquivalence(g, o, Options{Seed: 7, Workers: 2, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != Equivalent {
+			t.Fatalf("run %d: %v", i, res.Outcome)
+		}
+		r := run{journal: res.Journal, reduced: res.ReducedPercent}
+		for _, e := range tr.Events() {
+			if e.Name == "sat.pair" || e.Name == "sat.po" {
+				r.satCalls++
+			}
+		}
+		if i == 0 {
+			first = r
+			continue
+		}
+		if !reflect.DeepEqual(r.journal, first.journal) {
+			t.Fatalf("run %d: journal of %d merges differs from the first run's %d", i, len(r.journal), len(first.journal))
+		}
+		if r.reduced != first.reduced || r.satCalls != first.satCalls {
+			t.Fatalf("run %d: reduced %.3f%%, %d SAT calls; first run %.3f%%, %d SAT calls",
+				i, r.reduced, r.satCalls, first.reduced, first.satCalls)
 		}
 	}
 }

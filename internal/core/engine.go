@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"simsweep/internal/aig"
@@ -316,56 +315,77 @@ func windowWork(w *sim.Window) int64 {
 }
 
 // checkChunked merges the specs (when ks > 0), materialises their windows
-// and exhaustively checks them in chunks bounded by the memory budget,
-// returning combined per-pair verdicts (indexed like pairs). A merged
-// window over the per-window work budget is retried unmerged; a single
-// window still over budget is dropped (its pairs stay unresolved), which
-// realises the engine's computational-budget control on a CPU.
+// in one device launch and exhaustively checks them in chunks bounded by
+// the memory budget, returning combined per-pair verdicts (indexed like
+// pairs). A merged window over the per-window work budget is retried
+// unmerged; a single window still over budget is dropped (its pairs stay
+// unresolved), which realises the engine's computational-budget control on
+// a CPU. The walk over the built windows, the budgets and the batching run
+// in spec order on the control goroutine, exactly as if each window were
+// built where it is walked.
 func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Result {
 	combined := sim.Result{
-		Equal: make([]bool, len(pairs)),
-		CEXs:  make([]*sim.CEX, len(pairs)),
-	}
-	// Original (unmerged) spec of each pair, for the over-budget retry.
-	origByPair := make(map[int32]sim.Spec, len(specs))
-	for _, s := range specs {
-		for _, pi := range s.PairIdx {
-			origByPair[pi] = s
-		}
+		Equal:    make([]bool, len(pairs)),
+		Mismatch: make([]sim.Mismatch, len(pairs)),
 	}
 	merged := specs
 	if ks > 0 {
 		merged = sim.MergeSpecs(specs, ks)
+	}
+	if e.stopped() || e.phaseAborted {
+		return combined
+	}
+	wins, err := sim.BuildWindows(e.cfg.Dev, e.cur, merged)
+	if err != nil {
+		e.abortPhase("sim.window: %v", err)
+		return combined
+	}
+	// Merging pushed these windows over budget: their pairs fall back to
+	// their original (unmerged) windows, built together in a second launch
+	// and consumed in walk order.
+	var fallback []sim.Spec
+	var origByPair map[int32]sim.Spec
+	for _, w := range wins {
+		if w == nil || windowWork(w) <= e.cfg.MaxWindowWork || len(w.PairIdx) == 1 {
+			continue
+		}
+		if origByPair == nil {
+			origByPair = make(map[int32]sim.Spec, len(specs))
+			for _, s := range specs {
+				for _, pi := range s.PairIdx {
+					origByPair[pi] = s
+				}
+			}
+		}
+		for _, pi := range w.PairIdx {
+			fallback = append(fallback, origByPair[pi])
+		}
+	}
+	var fbWins []*sim.Window
+	if len(fallback) > 0 {
+		if fbWins, err = sim.BuildWindows(e.cfg.Dev, e.cur, fallback); err != nil {
+			e.abortPhase("sim.window: %v", err)
+			return combined
+		}
 	}
 
 	slotCap := e.cfg.MemBudgetWords / 2
 	if slotCap < 1024 {
 		slotCap = 1024
 	}
-	var batch []*sim.Window
+	batch := make([]*sim.Window, 0, len(wins))
 	slots := 0
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
-		r := e.ex.CheckBatch(e.cur, pairs, batch)
-		if r.Err != nil {
+		e.ex.CheckInto(&combined, pairs, batch)
+		if combined.Err != nil {
 			// The batch's kernels panicked: its verdicts were withdrawn
-			// (all Equal false, no CEXs), so merging them below is a
-			// no-op. Abort the phase; verdicts from earlier, healthy
-			// batches stay valid.
-			e.abortPhase("sim.exhaustive: %v", r.Err)
+			// (Equal false, no mismatch). Abort the phase; verdicts from
+			// earlier, healthy batches stay valid.
+			e.abortPhase("sim.exhaustive: %v", combined.Err)
 		}
-		for _, w := range batch {
-			for _, pi := range w.PairIdx {
-				combined.Equal[pi] = r.Equal[pi]
-				if r.CEXs[pi] != nil {
-					combined.CEXs[pi] = r.CEXs[pi]
-				}
-			}
-		}
-		combined.Rounds += r.Rounds
-		combined.WordsSimulated += r.WordsSimulated
 		batch = batch[:0]
 		slots = 0
 	}
@@ -379,26 +399,24 @@ func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Re
 			flush()
 		}
 	}
-	for _, spec := range merged {
+	for _, w := range wins {
 		if e.stopped() || e.phaseAborted {
 			break
 		}
-		w, err := sim.BuildWindow(e.cur, spec)
-		if err != nil {
+		if w == nil {
 			continue // inputs were not a cut; skip the job
 		}
 		if windowWork(w) <= e.cfg.MaxWindowWork {
 			enqueue(w)
 			continue
 		}
-		if len(spec.PairIdx) == 1 {
+		if len(w.PairIdx) == 1 {
 			continue // single over-budget job: unsimulatable on CPU
 		}
-		// Merging pushed the window over budget: fall back to the
-		// pairs' individual windows.
-		for _, pi := range spec.PairIdx {
-			ow, err := sim.BuildWindow(e.cur, origByPair[pi])
-			if err != nil || windowWork(ow) > e.cfg.MaxWindowWork {
+		for range w.PairIdx {
+			ow := fbWins[0]
+			fbWins = fbWins[1:]
+			if ow == nil || windowWork(ow) > e.cfg.MaxWindowWork {
 				continue
 			}
 			enqueue(ow)
@@ -494,7 +512,7 @@ func (e *engine) phaseP() {
 			})
 			continue
 		}
-		if cex := res.CEXs[i]; cex != nil {
+		if cex := res.CEX(i); cex != nil {
 			// A PO that can be driven to one disproves the miter.
 			stat.Disproved++
 			e.disprove(e.cexToInputs(cex))
@@ -599,10 +617,11 @@ func (e *engine) phaseG() {
 			}
 			inputs = u
 		}
-		roots := []int32{p.Member}
-		if p.Repr != 0 {
-			roots = append(roots, p.Repr)
-			sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+		var roots []int32
+		if p.Repr == 0 {
+			roots = []int32{p.Member}
+		} else {
+			roots = []int32{min(p.Repr, p.Member), max(p.Repr, p.Member)}
 		}
 		pairs = append(pairs, sim.Pair{A: p.Repr, B: p.Member, Compl: p.Compl})
 		specs = append(specs, sim.Spec{Roots: roots, Inputs: inputs, PairIdx: []int32{int32(len(pairs) - 1)}})
@@ -629,7 +648,7 @@ func (e *engine) phaseG() {
 			})
 			continue
 		}
-		if cex := res.CEXs[i]; cex != nil {
+		if cex := res.CEX(i); cex != nil {
 			stat.Disproved++
 			e.addCEXPattern(cex)
 		}
@@ -686,6 +705,14 @@ func (e *engine) phaseL() int {
 		stat.CutCandidates = gs.Candidates
 		stat.CutLaunches = gs.Launches
 	}()
+	// The common-cut buffer, sized for one flush and reused by every
+	// flush of every pass: a flush consumes its pairs and specs before the
+	// buffer refills. flat backs every spec's Roots and PairIdx, so a cut
+	// costs no allocation of its own.
+	bufCap := e.cfg.CutBufferCap + e.cfg.MaxCutsPerPair
+	pairs := make([]sim.Pair, 0, bufCap)
+	specs := make([]sim.Spec, 0, bufCap)
+	flat := make([]int32, 0, 3*bufCap)
 	for _, pass := range passes {
 		if e.stopped() || e.phaseAborted {
 			break
@@ -706,8 +733,6 @@ func (e *engine) phaseL() int {
 			gen.Trace = e.cfg.Trace
 		}
 
-		var pairs []sim.Pair
-		var specs []sim.Spec
 		flush := func() {
 			if len(pairs) == 0 {
 				return
@@ -730,27 +755,32 @@ func (e *engine) phaseL() int {
 			}
 			pairs = pairs[:0]
 			specs = specs[:0]
+			flat = flat[:0]
 		}
 
 		err := gen.Run(pass, classes, func(pc cuts.PairCuts) {
 			if proved[pc.Pair.Member] || !e.cur.IsAnd(int(pc.Pair.Member)) {
 				return
 			}
-			n := len(pc.Cuts)
-			if n > e.cfg.MaxCutsPerPair {
-				n = e.cfg.MaxCutsPerPair
+			n := min(len(pc.Cuts), e.cfg.MaxCutsPerPair)
+			if n == 0 {
+				return
 			}
+			p := pc.Pair
+			r0 := len(flat)
+			if p.Repr != 0 {
+				flat = append(flat, min(p.Repr, p.Member), max(p.Repr, p.Member))
+			} else {
+				flat = append(flat, p.Member)
+			}
+			roots := flat[r0:len(flat):len(flat)]
 			for _, cut := range pc.Cuts[:n] {
-				roots := []int32{pc.Pair.Member}
-				if pc.Pair.Repr != 0 {
-					roots = append(roots, pc.Pair.Repr)
-					sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-				}
-				pairs = append(pairs, sim.Pair{A: pc.Pair.Repr, B: pc.Pair.Member, Compl: pc.Pair.Compl})
+				flat = append(flat, int32(len(pairs)))
+				pairs = append(pairs, sim.Pair{A: p.Repr, B: p.Member, Compl: p.Compl})
 				specs = append(specs, sim.Spec{
 					Roots:   roots,
 					Inputs:  cut.Leaves,
-					PairIdx: []int32{int32(len(pairs) - 1)},
+					PairIdx: flat[len(flat)-1 : len(flat) : len(flat)],
 				})
 			}
 			// The constant-sized common-cut buffer of Algorithm 2:

@@ -10,7 +10,11 @@
 // complement flag relating its two members.
 package ec
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Manager holds the current class structure over a fixed node-id space.
 // Rebuild it (with Build) whenever the underlying AIG is rebuilt.
@@ -105,13 +109,17 @@ func Build(numNodes int, sig func(id int) []uint64, include func(id int) bool) *
 		b.members = append(b.members, int32(id))
 	}
 	for _, b := range buckets {
-		if len(b.members) < 2 {
-			continue
+		if len(b.members) >= 2 {
+			m.classes = append(m.classes, b.members)
 		}
-		idx := int32(len(m.classes))
-		m.classes = append(m.classes, b.members)
-		for _, id := range b.members {
-			m.classOf[id] = idx
+	}
+	// Map iteration order is random: order the classes by representative
+	// (members are appended in ascending id order, so index 0 is the
+	// minimum) so that one seed yields one candidate order, run to run.
+	slices.SortFunc(m.classes, func(x, y []int32) int { return cmp.Compare(x[0], y[0]) })
+	for idx, members := range m.classes {
+		for _, id := range members {
+			m.classOf[id] = int32(idx)
 		}
 	}
 	return m

@@ -177,3 +177,31 @@ func TestHashCollisionsSeparateClasses(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildOrdersClassesByRepresentative pins the class order: ascending
+// representative id, whatever order the signature buckets were visited in,
+// so that one simulation seed yields one candidate order.
+func TestBuildOrdersClassesByRepresentative(t *testing.T) {
+	const n = 200
+	sigs := make(map[int][]uint64, n)
+	for id := 0; id < n; id++ {
+		sigs[id] = []uint64{uint64(id%37) << 1} // 37 classes, phase 0
+	}
+	for trial := 0; trial < 5; trial++ {
+		m := Build(n, sigFunc(sigs), func(int) bool { return true })
+		cls := m.Classes()
+		if len(cls) != 37 {
+			t.Fatalf("classes = %d, want 37", len(cls))
+		}
+		for i, members := range cls {
+			if i > 0 && cls[i-1][0] >= members[0] {
+				t.Fatalf("class %d representative %d not above class %d's %d", i, members[0], i-1, cls[i-1][0])
+			}
+			for _, id := range members {
+				if m.ClassOf(int(id)) != int32(i) {
+					t.Fatalf("ClassOf(%d) = %d, want %d", id, m.ClassOf(int(id)), i)
+				}
+			}
+		}
+	}
+}

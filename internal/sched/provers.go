@@ -89,7 +89,8 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 		win  *sim.Window
 		work int
 	}
-	var slots []slot
+	var specs []sim.Spec
+	var specUnit []int // index into g of each spec
 	for ui, u := range g {
 		if u.support == nil {
 			// Over the support cap: the feature pass routed it here only
@@ -104,12 +105,29 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 				spec.Roots = append(spec.Roots, p.Member)
 			}
 		}
-		win, err := sim.BuildWindow(cur, spec)
-		if err != nil {
+		specs = append(specs, spec)
+		specUnit = append(specUnit, ui)
+	}
+	wins, err := sim.BuildWindows(sc.ex.Dev, cur, specs)
+	if err != nil {
+		// The build launch faulted: every window is suspect. Fail the
+		// units and let them escalate; record the fault once.
+		for k, ui := range specUnit {
+			atts[ui].failed = true
+			if k == 0 {
+				atts[ui].fault = fmt.Sprintf("sched.sim.window: %v", err)
+			}
+		}
+		return atts
+	}
+	var slots []slot
+	for k, win := range wins {
+		ui := specUnit[k]
+		if win == nil {
 			// The support union should always cut the class from the PIs;
 			// failing here is a bookkeeping fault, not a disproof.
 			atts[ui].failed = true
-			atts[ui].fault = fmt.Sprintf("sched.sim.window: %v", err)
+			atts[ui].fault = fmt.Sprintf("sched.sim.window: inputs do not cut class %d from the PIs", g[ui].repr)
 			continue
 		}
 		work := win.NumSlots() * win.TTWords()
@@ -151,7 +169,7 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 			}
 			windows = append(windows, w)
 		}
-		res := sc.ex.CheckBatch(cur, pairs, windows)
+		res := sc.ex.CheckBatch(pairs, windows)
 		switch {
 		case res.Err != nil:
 			// The verdicts were withdrawn; fail the batch's units and let
@@ -172,7 +190,7 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 				a := atts[r.ui]
 				if res.Equal[k] {
 					a.proved = append(a.proved, r.pi)
-				} else if cex := res.CEXs[k]; cex != nil {
+				} else if cex := res.CEX(k); cex != nil {
 					a.disproved = append(a.disproved, r.pi)
 					a.cexs = append(a.cexs, windowCEXToInputs(cur, cex, piIndex))
 				} else {

@@ -15,12 +15,12 @@ func TestWindowRootIsAnInput(t *testing.T) {
 	// n = a & (a | b) == a.
 	n := g.And(a, g.Or(a, b))
 	sup := g.SupportOfMany([]int{a.ID(), n.ID()})
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(a.ID()), int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(a.ID()), int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{A: int32(a.ID()), B: int32(n.ID()), Compl: false}}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if !res.Equal[0] {
 		t.Fatal("a & (a|b) not proved equal to a")
 	}
@@ -40,16 +40,16 @@ func TestWindowRootIsACutLeafSDCInconclusive(t *testing.T) {
 	or := g.Or(a, b)
 	n := g.And(r, or)
 	cut := []int32{int32(r.ID()), int32(or.ID())}
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: cut, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: cut, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{A: int32(r.ID()), B: int32(n.ID())}}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if res.Equal[0] {
 		t.Fatal("SDC-divergent local functions reported equal")
 	}
-	cex := res.CEXs[0]
+	cex := res.CEX(0)
 	if cex == nil {
 		t.Fatal("no mismatch pattern")
 	}
@@ -71,11 +71,11 @@ func TestWindowRootIsACutLeafSDCInconclusive(t *testing.T) {
 	}
 	// And global checking over the PIs must prove the pair.
 	sup := g.SupportOfMany([]int{r.ID(), n.ID()})
-	gw, err := BuildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	gw, err := buildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{gw})
+	res = NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{gw})
 	if !res.Equal[0] {
 		t.Fatal("globally equivalent pair not proved over its support")
 	}
@@ -84,7 +84,7 @@ func TestWindowRootIsACutLeafSDCInconclusive(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	g := aig.New()
 	g.AddPI()
-	res := NewExhaustive(dev(), 0).CheckBatch(g, nil, nil)
+	res := NewExhaustive(dev(), 0).CheckBatch(nil, nil)
 	if len(res.Equal) != 0 || res.Rounds != 0 {
 		t.Fatalf("empty batch produced %+v", res)
 	}
@@ -96,7 +96,7 @@ func TestPairNotCoveredByAnyWindow(t *testing.T) {
 	b := g.AddPI()
 	n := g.And(a, b)
 	sup := g.SupportOf(n.ID())
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPairNotCoveredByAnyWindow(t *testing.T) {
 		{A: int32(n.ID()), B: int32(n.ID())},
 		{A: 0, B: int32(n.ID())},
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if res.Equal[1] {
 		t.Fatal("uncovered pair reported equal")
 	}
@@ -126,16 +126,16 @@ func TestSingleInputWindow(t *testing.T) {
 	}
 	// A genuine single-input AND requires two distinct literals of the
 	// same variable — impossible in an AIG, so test a const pair.
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(a.ID())}, Inputs: []int32{int32(a.ID())}, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(a.ID())}, Inputs: []int32{int32(a.ID())}, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{A: 0, B: int32(a.ID())}} // a == const0? no!
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if res.Equal[0] {
 		t.Fatal("PI proved constant")
 	}
-	cex := res.CEXs[0]
+	cex := res.CEX(0)
 	if cex == nil || !cex.Values[0] {
 		t.Fatalf("CEX should set the PI to 1: %+v", cex)
 	}
@@ -156,15 +156,15 @@ func TestCEXIndexDecoding(t *testing.T) {
 		acc = g.And(acc, x)
 	}
 	sup := g.SupportOf(acc.ID())
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(acc.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(acc.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, []Pair{{A: 0, B: int32(acc.ID())}}, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch([]Pair{{A: 0, B: int32(acc.ID())}}, []*Window{w})
 	if res.Equal[0] {
 		t.Fatal("7-AND proved constant")
 	}
-	cex := res.CEXs[0]
+	cex := res.CEX(0)
 	if cex.Index != 127 {
 		t.Fatalf("CEX index = %d, want 127", cex.Index)
 	}
@@ -192,7 +192,7 @@ func TestWindowMergingReducesSimulatedNodes(t *testing.T) {
 	}
 	separate := 0
 	for _, s := range specs {
-		w, err := BuildWindow(g, s)
+		w, err := buildWindow(g, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestWindowMergingReducesSimulatedNodes(t *testing.T) {
 	if len(merged) != 1 {
 		t.Fatalf("overlapping specs did not merge: %d", len(merged))
 	}
-	w, err := BuildWindow(g, merged[0])
+	w, err := buildWindow(g, merged[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"simsweep/internal/aig"
 	"simsweep/internal/fault"
 	"simsweep/internal/par"
 	"simsweep/internal/trace"
@@ -30,14 +30,23 @@ type CEX struct {
 	Index  uint64
 }
 
+// Mismatch locates a refutation without decoding it: the window the pair
+// was refuted over (nil when it was not refuted) and the truth-table bit
+// index of the first differing assignment.
+type Mismatch struct {
+	Win   *Window
+	Index uint64
+}
+
 // Result reports the verdicts of a CheckBatch call, indexed like the pair
 // slice passed in. Equal[i] is true when the truth tables matched over the
-// window; CEXs[i] is non-nil when they did not. The interpretation is the
-// caller's: for global-function windows a mismatch is a disproof, for
-// local-function windows it is inconclusive (satisfiability don't cares).
+// window; Mismatch[i].Win is non-nil when they did not, and CEX(i) decodes
+// that refutation on demand. The interpretation is the caller's: for
+// global-function windows a mismatch is a disproof, for local-function
+// windows it is inconclusive (satisfiability don't cares).
 type Result struct {
-	Equal []bool
-	CEXs  []*CEX
+	Equal    []bool
+	Mismatch []Mismatch
 
 	// Rounds is the number of simulation rounds executed; WordsSimulated
 	// counts node·word units of work, for the benchmark harness.
@@ -45,9 +54,10 @@ type Result struct {
 	WordsSimulated int64
 
 	// Err is non-nil when a simulation kernel failed (a recovered worker
-	// panic). The batch's verdicts are then conservative: every Equal entry
-	// is false and every CEX is nil, so a faulted batch can never prove or
-	// disprove a pair — it only loses progress.
+	// panic). The batch's verdicts are then conservative: the Equal entry
+	// of every pair of the batch is false and no mismatch is recorded, so a
+	// faulted batch can never prove or disprove a pair — it only loses
+	// progress.
 	Err error
 	// Stopped reports that the Exhaustive.Stop callback cancelled the batch
 	// between rounds. As with Err, every verdict is withdrawn: a cancelled
@@ -91,8 +101,6 @@ type Exhaustive struct {
 	// engine wires its watchdog-aware cancellation check in here, so a
 	// phase stuck inside a multi-round batch is still cancellable.
 	Stop func() bool
-
-	scratch sync.Pool // *batchScratch: per-batch buffers, reused
 }
 
 // defaultSliceWork is the per-task slot·word granularity above which a
@@ -125,7 +133,6 @@ type winState struct {
 	base    int32 // first slot offset in the simulation table
 	nIn     int32
 	ttWords int32
-	fan     []int32   // per node: two fanins as local slot<<1 | compl
 	pairs   []winPair // sorted by ascending ready point
 	alive   int32     // unresolved pairs (owned by the resolution step)
 
@@ -156,18 +163,21 @@ type mismatch struct {
 	bit int8
 }
 
+// batchScratches holds the batch buffers between CheckInto calls. It is
+// shared by every checker, so one check reuses the simulation table the
+// previous check grew instead of growing its own.
+var batchScratches sync.Pool // *batchScratch
+
 // batchScratch holds the reusable buffers of one CheckBatch call.
 type batchScratch struct {
-	slot   []int32 // dense node-id -> window-local slot map
 	simt   []uint64
-	fan    []int32
 	wpairs []winPair
 	states []winState
 	tasks  []simTask
 }
 
 func (e *Exhaustive) getScratch() *batchScratch {
-	if sc, ok := e.scratch.Get().(*batchScratch); ok {
+	if sc, ok := batchScratches.Get().(*batchScratch); ok {
 		return sc
 	}
 	return &batchScratch{}
@@ -184,43 +194,58 @@ func (e *Exhaustive) putScratch(sc *batchScratch) {
 	}
 	sc.states = sc.states[:0]
 	sc.tasks = sc.tasks[:0]
-	e.scratch.Put(sc)
+	batchScratches.Put(sc)
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// CheckBatch exhaustively checks all pairs over their windows. Each
-// window's PairIdx entries index into pairs. Both roots of every pair must
-// be inputs or nodes of the window (or the constant node 0).
-func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Result {
+// CheckBatch exhaustively checks all pairs over their windows, which must
+// come from a Builder or BuildWindows (their fan tables drive simulation).
+// Each window's PairIdx entries index into pairs. Both roots of every pair
+// must be inputs or nodes of the window (or the constant node 0); a pair
+// whose root is neither stays unproven.
+func (e *Exhaustive) CheckBatch(pairs []Pair, windows []*Window) Result {
 	res := Result{
-		Equal: make([]bool, len(pairs)),
-		CEXs:  make([]*CEX, len(pairs)),
+		Equal:    make([]bool, len(pairs)),
+		Mismatch: make([]Mismatch, len(pairs)),
 	}
+	e.CheckInto(&res, pairs, windows)
+	return res
+}
+
+// CheckInto is CheckBatch writing into res, whose Equal and Mismatch slices
+// are indexed like pairs. It sets the entries of the windows' pairs only,
+// leaving every other entry as it was, adds to Rounds and WordsSimulated,
+// and sets Err or Stopped when the batch faulted or was cancelled, which
+// withdraws the verdicts of the batch's pairs only. A caller that checks one
+// long pair list in several batches shares one Result across them instead
+// of allocating pair-list-sized verdicts per batch.
+func (e *Exhaustive) CheckInto(res *Result, pairs []Pair, windows []*Window) {
 	// A pair is "equal" when its window survives all rounds without a
-	// mismatch; pairs not referenced by any window stay false.
+	// mismatch.
 	for _, w := range windows {
 		for _, pi := range w.PairIdx {
 			res.Equal[pi] = true
+			res.Mismatch[pi] = Mismatch{}
+		}
+	}
+	withdraw := func() {
+		for _, w := range windows {
+			for _, pi := range w.PairIdx {
+				res.Equal[pi] = false
+				res.Mismatch[pi] = Mismatch{}
+			}
 		}
 	}
 	if len(windows) == 0 {
-		return res
+		return
 	}
 
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 
-	totalSlots, totalNodes, totalPairs := 0, 0, 0
+	totalSlots, totalPairs := 0, 0
 	maxTT := 1
 	for _, w := range windows {
 		totalSlots += w.NumSlots()
-		totalNodes += len(w.Nodes)
 		totalPairs += len(w.PairIdx)
 		if tw := w.TTWords(); tw > maxTT {
 			maxTT = tw
@@ -241,14 +266,8 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 	}
 	simt := sc.simt[:totalSlots*E]
 
-	// Per-window setup, sequential: the dense slot scratch maps node ids
-	// to window-local slots. Entries are overwritten window by window;
-	// every id consulted for a window was written for that same window
-	// first, so no clearing between windows is needed.
-	slot := growI32(sc.slot, g.NumNodes())
-	sc.slot = slot
-	fan := growI32(sc.fan, 2*totalNodes)
-	sc.fan = fan
+	// Per-window setup, sequential and small: the windows carry their fan
+	// tables, so only the pairs' root slots are looked up here.
 	if cap(sc.wpairs) < totalPairs {
 		sc.wpairs = make([]winPair, totalPairs)
 	}
@@ -258,7 +277,7 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 	}
 	states := sc.states[:len(windows)]
 
-	base, fo, po := int32(0), 0, 0
+	base, po := int32(0), 0
 	for wi, w := range windows {
 		st := &states[wi]
 		*st = winState{
@@ -266,45 +285,27 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 			base:    base,
 			nIn:     int32(len(w.Inputs)),
 			ttWords: int32(w.TTWords()),
-			alive:   int32(len(w.PairIdx)),
 		}
-		for j, id := range w.Inputs {
-			slot[id] = int32(j)
-		}
-		for j, id := range w.Nodes {
-			slot[id] = st.nIn + int32(j)
-		}
-		st.fan = fan[fo : fo+2*len(w.Nodes)]
-		for j, id := range w.Nodes {
-			f0, f1 := g.Fanins(int(id))
-			c0, c1 := int32(0), int32(0)
-			if f0.IsCompl() {
-				c0 = 1
-			}
-			if f1.IsCompl() {
-				c1 = 1
-			}
-			st.fan[2*j] = slot[f0.ID()]<<1 | c0
-			st.fan[2*j+1] = slot[f1.ID()]<<1 | c1
-		}
-		fo += 2 * len(w.Nodes)
-		st.pairs = wpairs[po : po+len(w.PairIdx)]
-		for k, pi := range w.PairIdx {
+		st.pairs = wpairs[po:po]
+		for _, pi := range w.PairIdx {
 			p := pairs[pi]
-			wp := &st.pairs[k]
-			*wp = winPair{pi: pi, slotB: slot[p.B], slotA: -1, compl: p.Compl}
-			if r := wp.slotB - st.nIn + 1; r > wp.ready {
-				wp.ready = r
+			wp := winPair{pi: pi, slotA: -1, compl: p.Compl}
+			var okA, okB bool
+			wp.slotB, okB = w.slotOf(p.B)
+			okA = p.A == 0
+			if !okA {
+				wp.slotA, okA = w.slotOf(p.A)
 			}
-			if p.A != 0 {
-				wp.slotA = slot[p.A]
-				if r := wp.slotA - st.nIn + 1; r > wp.ready {
-					wp.ready = r
-				}
+			if !okA || !okB {
+				res.Equal[pi] = false // a root outside the window: unprovable
+				continue
 			}
+			wp.ready = max(wp.slotB, wp.slotA, st.nIn-1) - st.nIn + 1
+			st.pairs = append(st.pairs, wp)
 		}
+		st.alive = int32(len(st.pairs))
 		sortPairsByReady(st.pairs)
-		po += len(w.PairIdx)
+		po += len(st.pairs)
 		base += int32(w.NumSlots())
 	}
 
@@ -321,19 +322,18 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 	}
 	bsp := tb.Begin(trace.CatSim, "exhaustive.batch")
 
-	rounds := (maxTT + E - 1) / E
+	nrounds := (maxTT + E - 1) / E
+	rounds := 0 // rounds executed
+	defer func() { res.Rounds += rounds }()
 	tasks := sc.tasks[:0]
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < nrounds; r++ {
 		// An injected round stall parks the control goroutine here; the
 		// poll right after is the batch's cancellation point, so a watchdog
 		// or client cancel arriving during the stall (or a previous round)
 		// aborts the batch instead of waiting out the remaining dispatches.
 		e.Faults.Stall(fault.HookSimStall)
 		if e.Stop != nil && e.Stop() {
-			for i := range res.Equal {
-				res.Equal[i] = false
-				res.CEXs[i] = nil
-			}
+			withdraw()
 			res.Stopped = true
 			break
 		}
@@ -373,7 +373,7 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		if len(tasks) == 0 {
 			break
 		}
-		res.Rounds++
+		rounds++
 
 		rsp := tb.Begin(trace.CatSim, "exhaustive.round")
 		if tb != nil {
@@ -404,14 +404,11 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 			// mismatch buffers are unreliable. Withdraw every verdict —
 			// Equal entries were optimistically true and are now unproven,
 			// and recorded mismatches may be garbage — and report the fault.
-			for i := range res.Equal {
-				res.Equal[i] = false
-				res.CEXs[i] = nil
-			}
+			withdraw()
 			res.Err = err
 			sc.tasks = tasks
 			bsp.End()
-			return res
+			return
 		}
 
 		// Sequential resolution in task order (windows ascending, word
@@ -429,7 +426,7 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 				wp.dead = true
 				st.alive--
 				res.Equal[wp.pi] = false
-				res.CEXs[wp.pi] = st.decodeCEX(uint64(rr*E+int(m.t))*64 + uint64(m.bit))
+				res.Mismatch[wp.pi] = Mismatch{Win: st.win, Index: uint64(rr*E+int(m.t))*64 + uint64(m.bit)}
 			}
 		}
 	}
@@ -438,10 +435,9 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		bsp.Arg("windows", int64(len(windows)))
 		bsp.Arg("pairs", int64(len(pairs)))
 		bsp.Arg("entry_words", int64(E))
-		bsp.Arg("rounds", int64(res.Rounds))
+		bsp.Arg("rounds", int64(rounds))
 	}
 	bsp.End()
-	return res
 }
 
 // run seeds, simulates and compares one window (or word slice) for one
@@ -480,8 +476,8 @@ func (tk *simTask) run(simt []uint64, E, r int) {
 
 	nodesDone := 0
 	for j := 0; j < int(maxReady) && uncompared > 0; j++ {
-		f0 := st.fan[2*j]
-		f1 := st.fan[2*j+1]
+		f0 := st.win.Fan[2*j]
+		f1 := st.win.Fan[2*j+1]
 		s0 := (base + int(f0>>1)) * E
 		s1 := (base + int(f1>>1)) * E
 		dst := (base + nIn + j) * E
@@ -567,16 +563,34 @@ func sortPairsByReady(ps []winPair) {
 	}
 }
 
-// decodeCEX converts a truth-table bit index into an input assignment: bit
-// j of the index is the value of window input j (the projection-table
+// slotOf returns the window-local slot of node id: an input's position, or
+// len(Inputs) plus its position in the sorted node list.
+func (w *Window) slotOf(id int32) (int32, bool) {
+	if j := slices.Index(w.Inputs, id); j >= 0 {
+		return int32(j), true
+	}
+	if j, ok := slices.BinarySearch(w.Nodes, id); ok {
+		return int32(len(w.Inputs) + j), true
+	}
+	return 0, false
+}
+
+// CEX decodes the refutation of pair i into an assignment to its window's
+// inputs, or returns nil when pair i was not refuted. Bit j of the
+// truth-table index is the value of window input j (the projection-table
 // convention).
-func (st *winState) decodeCEX(index uint64) *CEX {
-	k := len(st.win.Inputs)
+func (r *Result) CEX(i int) *CEX {
+	m := r.Mismatch[i]
+	if m.Win == nil {
+		return nil
+	}
+	k := len(m.Win.Inputs)
+	index := m.Index
 	if k < 64 {
 		index &= (uint64(1) << uint(k)) - 1
 	}
 	cex := &CEX{
-		Inputs: append([]int32(nil), st.win.Inputs...),
+		Inputs: append([]int32(nil), m.Win.Inputs...),
 		Values: make([]bool, k),
 		Index:  index,
 	}

@@ -39,7 +39,7 @@ func deepParityBatch(tb testing.TB, nw, k int) (*aig.AIG, []Pair, []*Window) {
 			B:     int32(f2.ID()),
 			Compl: f1.IsCompl() != f2.IsCompl(),
 		})
-		win, err := BuildWindow(g, Spec{
+		win, err := buildWindow(g, Spec{
 			Roots:   []int32{int32(f1.ID()), int32(f2.ID())},
 			Inputs:  sup,
 			PairIdx: []int32{pi},
@@ -56,7 +56,7 @@ func deepParityBatch(tb testing.TB, nw, k int) (*aig.AIG, []Pair, []*Window) {
 // a batch of deep windows: the engine's hot path. The memory budget forces
 // several rounds so per-round dispatch overhead is visible.
 func BenchmarkExhaustiveCheckBatch(b *testing.B) {
-	g, pairs, windows := deepParityBatch(b, 32, 10)
+	_, pairs, windows := deepParityBatch(b, 32, 10)
 	total := 0
 	for _, w := range windows {
 		total += w.NumSlots()
@@ -65,7 +65,7 @@ func BenchmarkExhaustiveCheckBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ex.CheckBatch(g, pairs, windows)
+		r := ex.CheckBatch(pairs, windows)
 		if !r.Equal[0] {
 			b.Fatal("parity pair disproved")
 		}
@@ -75,12 +75,12 @@ func BenchmarkExhaustiveCheckBatch(b *testing.B) {
 // BenchmarkExhaustiveCheckBatchOneShot is the single-round shape (budget
 // large enough for the whole truth table).
 func BenchmarkExhaustiveCheckBatchOneShot(b *testing.B) {
-	g, pairs, windows := deepParityBatch(b, 32, 10)
+	_, pairs, windows := deepParityBatch(b, 32, 10)
 	ex := NewExhaustive(par.NewDevice(4), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ex.CheckBatch(g, pairs, windows)
+		r := ex.CheckBatch(pairs, windows)
 		if !r.Equal[0] {
 			b.Fatal("parity pair disproved")
 		}

@@ -20,7 +20,7 @@ func TestWindowDispatchLaunchCount(t *testing.T) {
 	}
 	dev := par.NewDevice(4)
 	ex := NewExhaustive(dev, total*2) // E=2 -> 32 rounds at k=12
-	res := ex.CheckBatch(g, pairs, windows)
+	res := ex.CheckBatch(pairs, windows)
 	for i := range pairs {
 		if !res.Equal[i] {
 			t.Fatalf("parity pair %d disproved", i)
@@ -83,7 +83,7 @@ func windowDepth(g *aig.AIG, w *Window) int {
 // SliceWork splits every window into per-word tasks) and checks verdicts
 // and counter-examples agree with the unsliced run.
 func TestSlicedWindowMatchesUnsliced(t *testing.T) {
-	g, pairs, windows := deepParityBatch(t, 4, 9)
+	_, pairs, windows := deepParityBatch(t, 4, 9)
 	// Add a refutable pair: root 0 of window 0 against constant zero.
 	w0 := windows[0]
 	pi := int32(len(pairs))
@@ -93,7 +93,7 @@ func TestSlicedWindowMatchesUnsliced(t *testing.T) {
 	run := func(sliceWork int) Result {
 		ex := NewExhaustive(par.NewDevice(4), 0)
 		ex.SliceWork = sliceWork
-		return ex.CheckBatch(g, pairs, windows)
+		return ex.CheckBatch(pairs, windows)
 	}
 	plain := run(0)
 	sliced := run(1) // every window splits into single-word tasks
@@ -101,11 +101,11 @@ func TestSlicedWindowMatchesUnsliced(t *testing.T) {
 		if plain.Equal[i] != sliced.Equal[i] {
 			t.Fatalf("pair %d: sliced verdict %v != unsliced %v", i, sliced.Equal[i], plain.Equal[i])
 		}
-		if (plain.CEXs[i] == nil) != (sliced.CEXs[i] == nil) {
+		if (plain.CEX(i) == nil) != (sliced.CEX(i) == nil) {
 			t.Fatalf("pair %d: CEX presence differs", i)
 		}
-		if plain.CEXs[i] != nil && plain.CEXs[i].Index != sliced.CEXs[i].Index {
-			t.Fatalf("pair %d: CEX index %d != %d", i, sliced.CEXs[i].Index, plain.CEXs[i].Index)
+		if plain.CEX(i) != nil && plain.CEX(i).Index != sliced.CEX(i).Index {
+			t.Fatalf("pair %d: CEX index %d != %d", i, sliced.CEX(i).Index, plain.CEX(i).Index)
 		}
 	}
 	if plain.Equal[pi] {
@@ -118,8 +118,8 @@ func TestSlicedWindowMatchesUnsliced(t *testing.T) {
 func TestCheckBatchScratchReuse(t *testing.T) {
 	ex := NewExhaustive(par.NewDevice(2), 0)
 	for _, shape := range []struct{ nw, k int }{{2, 4}, {6, 8}, {1, 10}, {3, 5}} {
-		g, pairs, windows := deepParityBatch(t, shape.nw, shape.k)
-		res := ex.CheckBatch(g, pairs, windows)
+		_, pairs, windows := deepParityBatch(t, shape.nw, shape.k)
+		res := ex.CheckBatch(pairs, windows)
 		for i := range pairs {
 			if !res.Equal[i] {
 				t.Fatalf("shape %+v: pair %d disproved", shape, i)

@@ -89,15 +89,15 @@ func TestLocalMismatchIsSDC(t *testing.T) {
 	n := g.And(r, or)
 	g.AddPO(n)
 	cut := []int32{int32(r.ID()), int32(or.ID())}
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: cut, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(n.ID())}, Inputs: cut, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, []Pair{{A: int32(r.ID()), B: int32(n.ID())}}, []*Window{w})
-	if res.Equal[0] || res.CEXs[0] == nil {
+	res := NewExhaustive(dev(), 0).CheckBatch([]Pair{{A: int32(r.ID()), B: int32(n.ID())}}, []*Window{w})
+	if res.Equal[0] || res.CEX(0) == nil {
 		t.Fatal("expected a local mismatch")
 	}
-	isSDC, err := LocalMismatchIsSDC(g, res.CEXs[0], 16)
+	isSDC, err := LocalMismatchIsSDC(g, res.CEX(0), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +108,15 @@ func TestLocalMismatchIsSDC(t *testing.T) {
 	// A genuine difference must NOT be classified as SDC.
 	m := g.And(r, g.Xor(a, b)) // constant 0, differs from r at (a=1,b=1)
 	sup := g.SupportOfMany([]int{r.ID(), m.ID()})
-	gw, err := BuildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(m.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	gw, err := buildWindow(g, Spec{Roots: []int32{int32(r.ID()), int32(m.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = NewExhaustive(dev(), 0).CheckBatch(g, []Pair{{A: int32(r.ID()), B: int32(m.ID())}}, []*Window{gw})
+	res = NewExhaustive(dev(), 0).CheckBatch([]Pair{{A: int32(r.ID()), B: int32(m.ID())}}, []*Window{gw})
 	if res.Equal[0] {
 		t.Fatal("inequivalent pair proved")
 	}
-	isSDC, err = LocalMismatchIsSDC(g, res.CEXs[0], 16)
+	isSDC, err = LocalMismatchIsSDC(g, res.CEX(0), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestFindNonZeroPO(t *testing.T) {
 func TestExhaustiveProvesEquivalentPair(t *testing.T) {
 	g, x1, x2, other := buildXorPair()
 	sup := g.SupportOfMany([]int{x1.ID(), x2.ID()})
-	w, err := BuildWindow(g, Spec{
+	w, err := buildWindow(g, Spec{
 		Roots:   []int32{int32(x1.ID()), int32(x2.ID()), int32(other.ID())},
 		Inputs:  sup,
 		PairIdx: []int32{0, 1},
@@ -147,14 +147,14 @@ func TestExhaustiveProvesEquivalentPair(t *testing.T) {
 		{A: int32(x1.ID()), B: int32(x2.ID()), Compl: x1.IsCompl() != x2.IsCompl()},
 		{A: int32(x1.ID()), B: int32(other.ID()), Compl: x1.IsCompl() != other.IsCompl()},
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if !res.Equal[0] {
 		t.Error("equivalent XOR pair disproved")
 	}
 	if res.Equal[1] {
 		t.Error("XOR == AND proved")
 	}
-	cex := res.CEXs[1]
+	cex := res.CEX(1)
 	if cex == nil {
 		t.Fatal("no CEX for disproved pair")
 	}
@@ -191,12 +191,12 @@ func TestExhaustiveComplementPair(t *testing.T) {
 		t.Fatal("structures unexpectedly strashed together")
 	}
 	sup := g.SupportOfMany([]int{x.ID(), u.ID()})
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(x.ID()), int32(u.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(x.ID()), int32(u.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{A: int32(x.ID()), B: int32(u.ID()), Compl: true}}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if !res.Equal[0] {
 		t.Error("complement pair not proved")
 	}
@@ -210,12 +210,12 @@ func TestExhaustiveConstantPair(t *testing.T) {
 	zero := g.And(g.And(a, b), g.And(a, b.Not()))
 	if zero != aig.False {
 		sup := g.SupportOf(zero.ID())
-		w, err := BuildWindow(g, Spec{Roots: []int32{int32(zero.ID())}, Inputs: sup, PairIdx: []int32{0}})
+		w, err := buildWindow(g, Spec{Roots: []int32{int32(zero.ID())}, Inputs: sup, PairIdx: []int32{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pairs := []Pair{{A: 0, B: int32(zero.ID()), Compl: zero.IsCompl()}}
-		res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+		res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 		if !res.Equal[0] {
 			t.Error("constant-zero node not proved")
 		}
@@ -223,15 +223,15 @@ func TestExhaustiveConstantPair(t *testing.T) {
 	// A non-constant node against constant: must be disproved with CEX.
 	n := g.And(a, b)
 	sup := g.SupportOf(n.ID())
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(n.ID())}, Inputs: sup, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, []Pair{{A: 0, B: int32(n.ID())}}, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch([]Pair{{A: 0, B: int32(n.ID())}}, []*Window{w})
 	if res.Equal[0] {
 		t.Error("AND proved constant zero")
 	}
-	if cex := res.CEXs[0]; cex == nil {
+	if cex := res.CEX(0); cex == nil {
 		t.Error("no CEX")
 	} else {
 		for j := range cex.Values {
@@ -272,7 +272,7 @@ func TestExhaustiveMultiRound(t *testing.T) {
 		t.Fatalf("support = %d, want 9", len(sup))
 	}
 	build := func() *Window {
-		w, err := BuildWindow(g, Spec{
+		w, err := buildWindow(g, Spec{
 			Roots:   []int32{int32(f1.ID()), int32(f2.ID()), int32(f3.ID())},
 			Inputs:  sup,
 			PairIdx: []int32{0, 1},
@@ -286,9 +286,9 @@ func TestExhaustiveMultiRound(t *testing.T) {
 		{A: int32(f1.ID()), B: int32(f2.ID()), Compl: f1.IsCompl() != f2.IsCompl()},
 		{A: int32(f1.ID()), B: int32(f3.ID()), Compl: f1.IsCompl() != f3.IsCompl()},
 	}
-	big := NewExhaustive(dev(), 1<<22).CheckBatch(g, pairs, []*Window{build()})
+	big := NewExhaustive(dev(), 1<<22).CheckBatch(pairs, []*Window{build()})
 	w := build()
-	small := NewExhaustive(dev(), w.NumSlots()*2).CheckBatch(g, pairs, []*Window{w})
+	small := NewExhaustive(dev(), w.NumSlots()*2).CheckBatch(pairs, []*Window{w})
 	if big.Rounds != 1 {
 		t.Fatalf("unlimited run used %d rounds", big.Rounds)
 	}
@@ -313,12 +313,12 @@ func TestBuildWindowRejectsLeakyInputs(t *testing.T) {
 	ab := g.And(a, b)
 	top := g.And(ab, c)
 	// Inputs {ab} do not cut top from PI c.
-	_, err := BuildWindow(g, Spec{Roots: []int32{int32(top.ID())}, Inputs: []int32{int32(ab.ID())}})
+	_, err := buildWindow(g, Spec{Roots: []int32{int32(top.ID())}, Inputs: []int32{int32(ab.ID())}})
 	if err == nil {
 		t.Fatal("leaky window accepted")
 	}
 	// Inputs {ab, c} do cut it.
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(top.ID())}, Inputs: []int32{int32(ab.ID()), int32(c.ID())}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(top.ID())}, Inputs: []int32{int32(ab.ID()), int32(c.ID())}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,12 +342,12 @@ func TestLocalFunctionCheckOverCut(t *testing.T) {
 	n := g.And(f, h)
 	n2 := g.And(g.And(f.Not(), h.Not()).Not(), g.And(f, h))
 	cut := []int32{int32(f.ID()), int32(h.ID())}
-	w, err := BuildWindow(g, Spec{Roots: []int32{int32(n.ID()), int32(n2.ID())}, Inputs: cut, PairIdx: []int32{0}})
+	w, err := buildWindow(g, Spec{Roots: []int32{int32(n.ID()), int32(n2.ID())}, Inputs: cut, PairIdx: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{A: int32(n.ID()), B: int32(n2.ID()), Compl: n.IsCompl() != n2.IsCompl()}}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if !res.Equal[0] {
 		t.Error("local function equivalence over cut not proved")
 	}
@@ -408,11 +408,11 @@ func TestMergedWindowChecksSameVerdicts(t *testing.T) {
 	if len(merged) != 1 {
 		t.Fatalf("expected one merged window, got %d", len(merged))
 	}
-	w, err := BuildWindow(g, merged[0])
+	w, err := buildWindow(g, merged[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewExhaustive(dev(), 0).CheckBatch(g, pairs, []*Window{w})
+	res := NewExhaustive(dev(), 0).CheckBatch(pairs, []*Window{w})
 	if !res.Equal[0] || res.Equal[1] {
 		t.Fatalf("merged-window verdicts = %v, want [true false]", res.Equal)
 	}

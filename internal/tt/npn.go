@@ -1,6 +1,10 @@
 package tt
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // NPN canonisation: two functions are NPN-equivalent when one can be
 // obtained from the other by Negating inputs, Permuting inputs and/or
@@ -61,36 +65,100 @@ func (tr NPNTransform) Inverse() NPNTransform {
 	return inv
 }
 
+// npnTable holds the per-arity data of NPNCanon, computed once per k: the
+// input permutations in enumeration order and, per permutation, its index
+// map (bit i of x moves to bit Perm[i]).
+type npnTable struct {
+	perms [][]int
+	index [][]uint8
+}
+
+var (
+	npnOnce   [7]sync.Once
+	npnTables [7]npnTable
+)
+
+func npnTableFor(k int) *npnTable {
+	npnOnce[k].Do(func() {
+		t := &npnTables[k]
+		forEachPerm(k, func(perm []int) {
+			idx := make([]uint8, 1<<uint(k))
+			for x := range idx {
+				for i, p := range perm {
+					idx[x] |= uint8((x>>uint(i))&1) << uint(p)
+				}
+			}
+			t.perms = append(t.perms, append([]int(nil), perm...))
+			t.index = append(t.index, idx)
+		})
+	})
+	return &npnTables[k]
+}
+
+// flipMasks[i] selects the assignments with variable i at 0 in one word.
+var flipMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+}
+
+// flipVar negates input variable i of a one-word table: bit x of the
+// result is bit x^(1<<i) of w. It keeps the replicated form intact.
+func flipVar(w uint64, i int) uint64 {
+	s := uint(1) << uint(i)
+	return (w&flipMasks[i])<<s | (w>>s)&flipMasks[i]
+}
+
 // NPNCanon returns the canonical representative of f's NPN class — the
 // lexicographically smallest truth table over all transforms — together
 // with the transform tr such that tr.Apply(f) is the representative.
-// Supported for NumVars ≤ 6; complexity k!·2^(k+1) table rewrites.
+// Supported for NumVars ≤ 6; k!·2^(k+1) candidates, each evaluated on one
+// word: a permutation costs 2^k table lookups, and each input negation one
+// variable flip of the previous candidate.
 func NPNCanon(f TT) (TT, NPNTransform) {
 	k := f.NumVars
 	if k > 6 {
 		panic("tt: NPNCanon supports at most 6 variables")
 	}
-	best := f.Clone()
-	bestTr := NPNTransform{Perm: identityPerm(k)}
-	first := true
-	forEachPerm(k, func(perm []int) {
-		for neg := uint32(0); neg < 1<<uint(k); neg++ {
-			for _, outNeg := range [2]bool{false, true} {
-				tr := NPNTransform{Perm: perm, InputNeg: neg, OutputNeg: outNeg}
-				cand := tr.Apply(f)
-				if first || lessTT(cand, best) {
-					first = false
-					best = cand
-					bestTr = NPNTransform{
-						Perm:      append([]int(nil), perm...),
-						InputNeg:  neg,
-						OutputNeg: outNeg,
-					}
+	tab := npnTableFor(k)
+	n := 1 << uint(k)
+	w := f.Words[0]
+	var negs [64]uint64 // candidate per input negation, for one permutation
+	// Every table's complement is a candidate too, so some candidate
+	// lies below all-ones and sets the best transform.
+	best, bestP, bestNeg, bestOut := ^uint64(0), 0, 0, false
+	for p, idx := range tab.index {
+		// g(x) = f(P(x ⊕ neg)): h = f∘P, then negate h's inputs.
+		h := uint64(0)
+		for z, y := range idx {
+			h |= (w >> y & 1) << uint(z)
+		}
+		if k < 6 {
+			h = replicate(h, k)
+		}
+		negs[0] = h
+		for neg := 0; neg < n; neg++ {
+			if neg > 0 {
+				low := bits.TrailingZeros(uint(neg))
+				negs[neg] = flipVar(negs[neg&(neg-1)], low)
+			}
+			for _, out := range [2]bool{false, true} {
+				cand := negs[neg]
+				if out {
+					cand = ^cand
+				}
+				if cand < best {
+					best, bestP, bestNeg, bestOut = cand, p, neg, out
 				}
 			}
 		}
-	})
-	return best, bestTr
+	}
+	canon := New(k)
+	canon.Words[0] = best
+	return canon, NPNTransform{
+		Perm:      append([]int(nil), tab.perms[bestP]...),
+		InputNeg:  uint32(bestNeg),
+		OutputNeg: bestOut,
+	}
 }
 
 // NPNEquivalent reports whether f and g are in the same NPN class.
@@ -156,15 +224,4 @@ func forEachPerm(k int, visit func([]int)) {
 		return
 	}
 	heap(k)
-}
-
-// lessTT compares canonical truth tables lexicographically (low words
-// first, low bits first).
-func lessTT(a, b TT) bool {
-	for i := range a.Words {
-		if a.Words[i] != b.Words[i] {
-			return a.Words[i] < b.Words[i]
-		}
-	}
-	return false
 }
